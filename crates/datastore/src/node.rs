@@ -8,6 +8,7 @@
 //! self-describing binary form for the inter-rank shuffle.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use ltfb_tensor::{f32s_from_le, put_f32s_le};
 use std::collections::BTreeMap;
 
 /// A typed tree node.
@@ -84,9 +85,25 @@ impl Node {
 
     /// Serialise to a self-describing byte buffer.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
         encode(self, &mut buf);
         buf.freeze()
+    }
+
+    /// Exact length of [`Node::to_bytes`]: a tag byte per node, a u64
+    /// length before every array, string, map and key.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Node::F32Array(v) => 8 + v.len() * 4,
+            Node::F64(_) | Node::I64(_) => 8,
+            Node::Str(s) => 8 + s.len(),
+            Node::Map(m) => {
+                8 + m
+                    .iter()
+                    .map(|(k, v)| 8 + k.len() + v.encoded_len())
+                    .sum::<usize>()
+            }
+        }
     }
 
     /// Deserialise a buffer produced by [`Node::to_bytes`].
@@ -132,9 +149,7 @@ fn encode(n: &Node, buf: &mut BytesMut) {
         Node::F32Array(v) => {
             buf.put_u8(TAG_F32ARR);
             buf.put_u64_le(v.len() as u64);
-            for &x in v {
-                buf.put_f32_le(x);
-            }
+            put_f32s_le(buf, v);
         }
         Node::F64(x) => {
             buf.put_u8(TAG_F64);
@@ -175,13 +190,12 @@ fn decode(data: &mut Bytes) -> Result<Node, NodeDecodeError> {
     match data.get_u8() {
         TAG_F32ARR => {
             let n = take_len(data)?;
-            if data.remaining() < n * 4 {
-                return Err(NodeDecodeError::Truncated);
-            }
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(data.get_f32_le());
-            }
+            let len = n
+                .checked_mul(4)
+                .filter(|&len| len <= data.remaining())
+                .ok_or(NodeDecodeError::Truncated)?;
+            let v = f32s_from_le(&data[..len]);
+            data.advance(len);
             Ok(Node::F32Array(v))
         }
         TAG_F64 => {
@@ -227,6 +241,7 @@ fn decode(data: &mut Bytes) -> Result<Node, NodeDecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_node() -> Node {
         let mut n = Node::map();
@@ -302,6 +317,137 @@ mod tests {
             Node::from_bytes(Bytes::from_static(&[99u8])),
             Err(NodeDecodeError::UnknownTag(99))
         ));
+    }
+
+    #[test]
+    fn overflowing_array_length_is_truncated_not_a_panic() {
+        for n in [u64::MAX, u64::MAX / 4 + 1, 1 << 62] {
+            let mut raw = vec![TAG_F32ARR];
+            raw.extend_from_slice(&n.to_le_bytes());
+            raw.extend_from_slice(&[0; 16]);
+            assert_eq!(
+                Node::from_bytes(Bytes::from(raw)),
+                Err(NodeDecodeError::Truncated),
+                "length {n:#x}"
+            );
+        }
+    }
+
+    /// The per-element encoder the bulk f32 codec replaced.
+    fn encode_oracle(n: &Node, buf: &mut Vec<u8>) {
+        match n {
+            Node::F32Array(v) => {
+                buf.put_u8(TAG_F32ARR);
+                buf.put_u64_le(v.len() as u64);
+                for &x in v {
+                    buf.put_f32_le(x);
+                }
+            }
+            Node::F64(x) => {
+                buf.put_u8(TAG_F64);
+                buf.put_f64_le(*x);
+            }
+            Node::I64(x) => {
+                buf.put_u8(TAG_I64);
+                buf.put_i64_le(*x);
+            }
+            Node::Str(s) => {
+                buf.put_u8(TAG_STR);
+                buf.put_u64_le(s.len() as u64);
+                buf.put_slice(s.as_bytes());
+            }
+            Node::Map(m) => {
+                buf.put_u8(TAG_MAP);
+                buf.put_u64_le(m.len() as u64);
+                for (k, v) in m {
+                    buf.put_u64_le(k.len() as u64);
+                    buf.put_slice(k.as_bytes());
+                    encode_oracle(v, buf);
+                }
+            }
+        }
+    }
+
+    /// The per-element decoder the bulk f32 codec replaced, for
+    /// well-formed input only.
+    fn decode_oracle(data: &mut Bytes) -> Node {
+        let len = |data: &mut Bytes| data.get_u64_le() as usize;
+        match data.get_u8() {
+            TAG_F32ARR => Node::F32Array((0..len(data)).map(|_| data.get_f32_le()).collect()),
+            TAG_F64 => Node::F64(data.get_f64_le()),
+            TAG_I64 => Node::I64(data.get_i64_le()),
+            TAG_STR => {
+                let n = len(data);
+                Node::Str(String::from_utf8(data.copy_to_bytes(n).to_vec()).unwrap())
+            }
+            TAG_MAP => Node::Map(
+                (0..len(data))
+                    .map(|_| {
+                        let k = len(data);
+                        let k = String::from_utf8(data.copy_to_bytes(k).to_vec()).unwrap();
+                        (k, decode_oracle(data))
+                    })
+                    .collect(),
+            ),
+            t => panic!("oracle fed unknown tag {t}"),
+        }
+    }
+
+    /// Every f32 leaf's bit patterns, depth first; `==` on `Node` would
+    /// call two equal NaNs different and `0.0 == -0.0` the same.
+    fn leaf_bits(n: &Node, out: &mut Vec<u32>) {
+        match n {
+            Node::F32Array(v) => out.extend(v.iter().map(|x| x.to_bits())),
+            Node::Map(m) => m.values().for_each(|c| leaf_bits(c, out)),
+            _ => {}
+        }
+    }
+
+    /// Trees whose f32 leaves lean on NaN payloads, ±0.0 and subnormals.
+    fn edge_node() -> impl Strategy<Value = Node> {
+        let edge_f32 = (0u8..4, any::<u32>()).prop_map(|(class, r)| match class {
+            0 => f32::from_bits(0x7F80_0001 | (r & 0x807F_FFFF)),
+            1 => f32::from_bits(r & 0x807F_FFFF),
+            2 => -0.0,
+            _ => f32::from_bits(r),
+        });
+        let leaf = prop_oneof![
+            prop::collection::vec(edge_f32, 0..300).prop_map(Node::F32Array),
+            any::<f64>().prop_map(Node::F64),
+            any::<i64>().prop_map(Node::I64),
+            "[a-z0-9 ]{0,16}".prop_map(Node::Str),
+        ];
+        leaf.prop_recursive(3, 24, 4, |inner| {
+            prop::collection::btree_map("[a-z][a-z0-9_]{0,8}", inner, 0..4).prop_map(Node::Map)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn wire_bytes_match_per_element_oracle(node in edge_node()) {
+            let bytes = node.to_bytes();
+            let mut oracle = Vec::new();
+            encode_oracle(&node, &mut oracle);
+            prop_assert_eq!(&bytes[..], &oracle[..]);
+            prop_assert_eq!(bytes.len(), node.encoded_len());
+        }
+
+        #[test]
+        fn decode_round_trips_bit_exactly(node in edge_node()) {
+            let bytes = node.to_bytes();
+            let decoded = Node::from_bytes(bytes.clone()).unwrap();
+            let mut want = Vec::new();
+            leaf_bits(&node, &mut want);
+            let mut got = Vec::new();
+            leaf_bits(&decoded, &mut got);
+            prop_assert_eq!(&got, &want);
+            let mut oracle = Vec::new();
+            leaf_bits(&decode_oracle(&mut bytes.clone()), &mut oracle);
+            prop_assert_eq!(&oracle, &want);
+            prop_assert_eq!(decoded.to_bytes(), bytes);
+        }
     }
 
     #[test]

@@ -50,5 +50,5 @@ pub use quant::{
 };
 pub use serial::{
     crc32, decode_matrices, decode_matrix, encode_matrices, encode_matrix, encode_matrix_into,
-    encoded_len, DecodeError,
+    encoded_len, f32s_from_le, put_f32s_le, DecodeError,
 };

@@ -53,18 +53,83 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Simple CRC-32 (IEEE polynomial, bitwise). Fast enough for weight blobs;
-/// the point is corruption *detection*, not throughput.
+/// CRC-32 (IEEE polynomial, reflected, as in zlib/PNG) by slicing-by-8:
+/// eight bytes per step through eight 256-entry tables. Every shard read,
+/// ingest append and matrix decode checks one, so this runs at memory
+/// speed rather than a bit at a time.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b` through
+/// it; `CRC_TABLES[k][b]` is that value advanced by `k` further zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Append `src` as little-endian f32 words: the same bytes as
+/// `put_f32_le` per element, staged a block at a time so the conversion
+/// vectorises and the buffer grows by whole blocks.
+pub fn put_f32s_le(buf: &mut impl BufMut, src: &[f32]) {
+    let mut stage = [0u8; 1024];
+    for block in src.chunks(stage.len() / 4) {
+        let bytes = &mut stage[..block.len() * 4];
+        for (word, v) in bytes.chunks_exact_mut(4).zip(block) {
+            word.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.put_slice(bytes);
+    }
+}
+
+/// Decode little-endian f32 words, the inverse of [`put_f32s_le`]. Every
+/// bit pattern (NaN payloads, -0.0, subnormals) survives. A trailing
+/// partial word is ignored; callers pass whole words.
+pub fn f32s_from_le(src: &[u8]) -> Vec<f32> {
+    src.chunks_exact(4)
+        .map(|w| f32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+        .collect()
 }
 
 /// Number of bytes [`encode_matrix`] will produce for a `rows x cols` matrix.
@@ -86,9 +151,7 @@ pub fn encode_matrix_into(m: &Matrix, buf: &mut BytesMut) {
     buf.put_u64_le(m.rows() as u64);
     buf.put_u64_le(m.cols() as u64);
     let start = buf.len();
-    for &v in m.as_slice() {
-        buf.put_f32_le(v);
-    }
+    put_f32s_le(buf, m.as_slice());
     let crc = crc32(&buf[start..]);
     buf.put_u32_le(crc);
 }
@@ -121,10 +184,8 @@ pub fn decode_matrix(buf: &mut Bytes) -> Result<Matrix, DecodeError> {
         });
     }
     let computed = crc32(&buf[..payload]);
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(buf.get_f32_le());
-    }
+    let data = f32s_from_le(&buf[..payload]);
+    buf.advance(payload);
     let stored = buf.get_u32_le();
     if stored != computed {
         return Err(DecodeError::BadChecksum { stored, computed });
@@ -163,6 +224,7 @@ pub fn decode_matrices(mut buf: Bytes) -> Result<Vec<Matrix>, DecodeError> {
 mod tests {
     use super::*;
     use crate::init::{seeded_rng, uniform};
+    use proptest::prelude::*;
 
     #[test]
     fn round_trip_single() {
@@ -231,6 +293,102 @@ mod tests {
     fn crc32_known_vector() {
         // CRC-32 of "123456789" is 0xCBF43926 (IEEE reference vector).
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_oracle(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The bitwise CRC the tables are derived from; [`crc32`] must agree
+    /// with it on every input.
+    fn crc32_oracle(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    /// The per-element matrix encoder the bulk codec replaced.
+    fn encode_matrix_oracle(m: &Matrix) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_u32_le(MAGIC);
+        buf.put_u64_le(m.rows() as u64);
+        buf.put_u64_le(m.cols() as u64);
+        for &v in m.as_slice() {
+            buf.put_f32_le(v);
+        }
+        let crc = crc32_oracle(&buf[20..]);
+        buf.put_u32_le(crc);
+        buf
+    }
+
+    /// The per-element payload decoder the bulk codec replaced.
+    fn f32s_from_le_oracle(mut src: &[u8]) -> Vec<f32> {
+        let mut out = Vec::with_capacity(src.len() / 4);
+        while src.remaining() >= 4 {
+            out.push(src.get_f32_le());
+        }
+        out
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// f32s weighted towards the patterns a value-level comparison would
+    /// miss: NaNs with arbitrary sign and payload, ±0.0 and subnormals.
+    fn edge_f32() -> impl Strategy<Value = f32> {
+        (0u8..4, any::<u32>()).prop_map(|(class, r)| match class {
+            0 => f32::from_bits(0x7F80_0001 | (r & 0x807F_FFFF)),
+            1 => f32::from_bits(r & 0x807F_FFFF),
+            2 => -0.0,
+            _ => f32::from_bits(r),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crc32_matches_bitwise_oracle(
+            raw in prop::collection::vec(any::<u8>(), 4104..4105),
+            len in 0usize..=4096,
+            start in 0usize..8,
+        ) {
+            let data = &raw[start..start + len];
+            prop_assert_eq!(crc32(data), crc32_oracle(data), "len {} start {}", len, start);
+        }
+
+        #[test]
+        fn bulk_f32_codec_matches_per_element_oracle(
+            v in prop::collection::vec(edge_f32(), 0..600),
+        ) {
+            let mut bulk = Vec::new();
+            put_f32s_le(&mut bulk, &v);
+            let mut each = Vec::new();
+            for &x in &v {
+                each.put_f32_le(x);
+            }
+            prop_assert_eq!(&bulk, &each);
+            prop_assert_eq!(bits(&f32s_from_le(&bulk)), bits(&v));
+            prop_assert_eq!(bits(&f32s_from_le_oracle(&bulk)), bits(&v));
+        }
+
+        #[test]
+        fn matrix_wire_bytes_match_oracle(
+            (rows, cols, v) in (0usize..9, 0usize..40).prop_flat_map(|(r, c)| {
+                (Just(r), Just(c), prop::collection::vec(edge_f32(), r * c..r * c + 1))
+            }),
+        ) {
+            let m = Matrix::from_vec(rows, cols, v);
+            let bytes = encode_matrix(&m);
+            prop_assert_eq!(&bytes[..], &encode_matrix_oracle(&m)[..]);
+            let got = decode_matrix(&mut bytes.clone()).unwrap();
+            prop_assert_eq!(got.shape(), (rows, cols));
+            prop_assert_eq!(bits(got.as_slice()), bits(m.as_slice()));
+        }
     }
 
     #[test]

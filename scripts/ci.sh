@@ -11,6 +11,10 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark package: locked offline build + smoke test"
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

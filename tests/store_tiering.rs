@@ -3,12 +3,17 @@
 //! reference store — serially and under 4-rank data parallelism. The
 //! in-memory store is the bit-identity reference; any divergence in the
 //! shard codec, the hot tier, or the tiered exchange shows up here as a
-//! differing loss word.
+//! differing loss word. The shuffle and matrix wire bytes, and the typed
+//! error a corrupt shard record raises, are pinned here too.
 
+use ltfb::bundle::CheckpointError;
 use ltfb::comm::run_world;
-use ltfb::datastore::{node_to_sample, DataStore, PopulateMode};
+use ltfb::datastore::{node_to_sample, sample_to_node, DataStore, PopulateMode, StoreError};
 use ltfb::gan::{batch_from_samples, CycleGan, CycleGanConfig, StepLosses};
-use ltfb::jag::{cleanup_dataset_dir, temp_dataset_dir, DatasetSpec, Sample};
+use ltfb::jag::{
+    cleanup_dataset_dir, sample_by_id, temp_dataset_dir, DatasetSpec, JagConfig, Sample,
+};
+use ltfb::tensor::{crc32, encode_matrix, Matrix};
 
 const N: u64 = 48;
 const PER_FILE: usize = 12;
@@ -125,5 +130,55 @@ fn four_rank_dp_tiered_training_is_bit_identical_to_in_memory() {
     // report different values — but every rank must have stepped through
     // the same schedule, and each matched its own in-memory reference.
     assert!(trajectories.iter().all(|&n| n == trajectories[0] && n > 0));
+    cleanup_dataset_dir(&spec.dir);
+}
+
+/// The shuffle codec (`Node::to_bytes`) and the matrix codec are wire
+/// formats: their bytes for a fixed input are pinned here as a length
+/// and a CRC-32, so a faster codec cannot move a single bit.
+#[test]
+fn wire_format_golden() {
+    let node = sample_to_node(&sample_by_id(&JagConfig::small(4), 0, 7)).to_bytes();
+    assert_eq!((node.len(), crc32(&node)), (974, 0x7129_9249));
+
+    let mut v: Vec<f32> = (0..12).map(|i| i as f32 * 0.37 - 2.0).collect();
+    v.extend([
+        -0.0,
+        f32::from_bits(0x7FC0_1234),
+        f32::from_bits(0x0000_0001),
+        f32::MAX,
+    ]);
+    let m = encode_matrix(&Matrix::from_vec(4, 4, v));
+    assert_eq!((m.len(), crc32(&m)), (88, 0xA9A6_336D));
+}
+
+/// One flipped payload bit is a typed checksum error on every epoch that
+/// reads the record: a record that failed its check is never admitted to
+/// the hot tier or remembered as verified.
+#[test]
+fn flipped_payload_bit_fails_every_epoch() {
+    let (_, spec) = make_dataset("golden-bitflip");
+    let path = spec.shard_path(0);
+    let mut raw = std::fs::read(&path).unwrap();
+    let n = raw.len();
+    raw[n - 5] ^= 0x10;
+    std::fs::write(&path, raw).unwrap();
+    let spec2 = spec.clone();
+    run_world(1, move |comm| {
+        // A budget that holds the whole corpus: only the bad record misses.
+        let budget = 2 * N * spec2.cfg.sample_bytes() as u64;
+        let mut tier =
+            DataStore::new_tiered(comm, spec2.clone(), (0..N).collect(), MB, SEED, budget, 1)
+                .unwrap();
+        for epoch in 0..2 {
+            assert!(
+                matches!(
+                    tier.fetch_epoch(epoch),
+                    Err(StoreError::Shard(CheckpointError::BadChecksum))
+                ),
+                "epoch {epoch} must report the corrupt record"
+            );
+        }
+    });
     cleanup_dataset_dir(&spec.dir);
 }
