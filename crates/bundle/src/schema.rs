@@ -6,6 +6,7 @@
 //! gives the paper, reduced to the f32 tensors this workspace moves.
 
 use crate::header::CheckpointError;
+use crate::shard::RECORD_HEADER_BYTES;
 
 /// One named tensor inside a record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +63,18 @@ impl BundleSchema {
         start..start + self.fields[i].len()
     }
 
+    /// Bytes one shard record of this schema occupies, record header
+    /// included, or `None` if a shape's product or the sum overflows
+    /// `usize`. [`BundleSchema::decode`] refuses such a schema, so the
+    /// unchecked geometry helpers above are exact for every decoded one.
+    fn checked_record_stride(&self) -> Option<usize> {
+        let words = self.fields.iter().try_fold(0usize, |acc, f| {
+            let len = f.dims.iter().try_fold(1u64, |p, &d| p.checked_mul(d))?;
+            acc.checked_add(usize::try_from(len).ok()?)
+        })?;
+        words.checked_mul(4)?.checked_add(RECORD_HEADER_BYTES)
+    }
+
     /// Find a field by name, returning its index and descriptor.
     pub fn field_named(&self, name: &str) -> Option<(usize, &TensorField)> {
         self.fields.iter().enumerate().find(|(_, f)| f.name == name)
@@ -86,7 +99,9 @@ impl BundleSchema {
     }
 
     /// Decode a schema descriptor; every malformation is a typed error,
-    /// never a panic (the bytes come from disk).
+    /// never a panic (the bytes come from disk). That includes shapes
+    /// whose record size overflows: the schema CRC catches corruption,
+    /// not a crafted file.
     pub fn decode(raw: &[u8]) -> Result<BundleSchema, CheckpointError> {
         let mut pos = 0usize;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], CheckpointError> {
@@ -121,7 +136,13 @@ impl BundleSchema {
                 raw.len() - pos
             )));
         }
-        Ok(BundleSchema { fields })
+        let schema = BundleSchema { fields };
+        if schema.checked_record_stride().is_none() {
+            return Err(CheckpointError::ConfigMismatch(
+                "schema record size overflows".into(),
+            ));
+        }
+        Ok(schema)
     }
 }
 
@@ -181,6 +202,39 @@ mod tests {
             BundleSchema::decode(&enc),
             Err(CheckpointError::ConfigMismatch(_))
         ));
+    }
+
+    /// Shapes whose record size overflows: the product of the dims, or
+    /// the payload bytes plus the 12-byte record header.
+    const OVERFLOWING_DIMS: [&[u64]; 4] = [
+        &[1 << 62, 4],
+        &[u64::MAX, 2],
+        &[(1 << 62) - 3],
+        &[u64::MAX],
+    ];
+
+    #[test]
+    fn overflowing_record_size_rejected() {
+        for dims in OVERFLOWING_DIMS {
+            let s = BundleSchema::new(vec![TensorField::new("x", dims.to_vec())]);
+            assert!(
+                matches!(
+                    BundleSchema::decode(&s.encode()),
+                    Err(CheckpointError::ConfigMismatch(_))
+                ),
+                "dims {dims:?}"
+            );
+        }
+        // Two fields whose records each fit overflow together.
+        let half = vec![TensorField::new("h", vec![1 << 61]); 2];
+        assert!(matches!(
+            BundleSchema::decode(&BundleSchema::new(half).encode()),
+            Err(CheckpointError::ConfigMismatch(_))
+        ));
+        // The largest stride that fits still decodes.
+        let max_words = ((usize::MAX - RECORD_HEADER_BYTES) / 4) as u64;
+        let s = BundleSchema::new(vec![TensorField::new("m", vec![max_words])]);
+        assert_eq!(BundleSchema::decode(&s.encode()).unwrap(), s);
     }
 
     #[test]

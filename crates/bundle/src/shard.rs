@@ -21,16 +21,23 @@
 //!   deserialisation;
 //! * **ids in the record header** — ingest shards carry arbitrary global
 //!   ids (fresh samples get ids past the base corpus), so the reader
-//!   indexes `id → record` at map time instead of assuming density.
+//!   indexes `id → record` at map time instead of assuming density;
+//! * **verify once per mapping** — a mapping is an immutable snapshot of
+//!   the file, so a record whose CRC passed against it passes on every
+//!   later read of the same mapping. The reader checks each record's CRC
+//!   on its first read and remembers the pass; re-mapping (`open`,
+//!   `refresh`) forgets every pass. A record that fails is never
+//!   remembered, so it fails on every read.
 
 use crate::header::{CheckpointError, CheckpointHeader, HEADER_BYTES};
 use crate::schema::BundleSchema;
-use ltfb_tensor::crc32;
+use ltfb_tensor::{crc32, put_f32s_le};
 use memmap2::Mmap;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// `"LTBS"` — LTfb Bundle Shard.
 pub const SHARD_MAGIC: u32 = 0x4C54_4253;
@@ -38,7 +45,7 @@ pub const SHARD_MAGIC: u32 = 0x4C54_4253;
 pub const SHARD_VERSION: u32 = 1;
 
 /// Bytes before the payload within one record (`id u64 | crc u32`).
-const RECORD_HEADER_BYTES: usize = 12;
+pub(crate) const RECORD_HEADER_BYTES: usize = 12;
 
 fn data_offset(schema_len: usize) -> usize {
     let unaligned = HEADER_BYTES + schema_len;
@@ -56,6 +63,8 @@ pub struct ShardWriter {
     schema: BundleSchema,
     count: usize,
     bytes_written: u64,
+    /// One encoded record (`id | crc | payload`), reused across appends.
+    record: Vec<u8>,
 }
 
 impl ShardWriter {
@@ -74,6 +83,7 @@ impl ShardWriter {
             schema,
             count: 0,
             bytes_written: 0,
+            record: Vec::new(),
         })
     }
 
@@ -97,10 +107,13 @@ impl ShardWriter {
             schema,
             count,
             bytes_written: 0,
+            record: Vec::new(),
         })
     }
 
     /// Append one record. `payload` must be exactly one record long.
+    /// The record is encoded once into a reused buffer and handed to the
+    /// file in one write.
     pub fn append(&mut self, id: u64, payload: &[f32]) -> Result<(), CheckpointError> {
         if payload.len() != self.schema.record_len() {
             return Err(CheckpointError::ConfigMismatch(format!(
@@ -109,15 +122,16 @@ impl ShardWriter {
                 self.schema.record_len()
             )));
         }
-        let mut raw = Vec::with_capacity(payload.len() * 4);
-        for &v in payload {
-            raw.extend_from_slice(&v.to_le_bytes());
-        }
-        self.file.write_all(&id.to_le_bytes())?;
-        self.file.write_all(&crc32(&raw).to_le_bytes())?;
-        self.file.write_all(&raw)?;
+        let rec = &mut self.record;
+        rec.clear();
+        rec.extend_from_slice(&id.to_le_bytes());
+        rec.extend_from_slice(&[0u8; 4]);
+        put_f32s_le(rec, payload);
+        let crc = crc32(&rec[RECORD_HEADER_BYTES..]);
+        rec[8..RECORD_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+        self.file.write_all(rec)?;
         self.count += 1;
-        self.bytes_written += (RECORD_HEADER_BYTES + raw.len()) as u64;
+        self.bytes_written += rec.len() as u64;
         Ok(())
     }
 
@@ -156,6 +170,9 @@ pub struct MmapShard {
     /// Record ids in record order (`ids[i]` is record `i`).
     ids: Vec<u64>,
     index: HashMap<u64, usize>,
+    /// `verified[i]` is set once record `i`'s CRC has passed against this
+    /// mapping; a new mapping starts with every flag clear.
+    verified: Vec<AtomicBool>,
     /// Strict mode refuses a partial tail record; streaming mode (the
     /// ingest reader) exposes only the complete prefix.
     strict: bool,
@@ -182,13 +199,20 @@ impl MmapShard {
             data_off: 0,
             ids: Vec::new(),
             index: HashMap::new(),
+            verified: Vec::new(),
             strict,
         };
         shard.decode_layout()?;
         Ok(shard)
     }
 
+    /// Index the current mapping. Runs on every map (open and refresh),
+    /// and forgets every record's verified flag before anything else, so
+    /// no pass recorded against an older mapping vouches for this one.
     fn decode_layout(&mut self) -> Result<(), CheckpointError> {
+        self.ids.clear();
+        self.index.clear();
+        self.verified.clear();
         let raw: &[u8] = &self.mmap;
         let head: [u8; HEADER_BYTES] = raw
             .get(..HEADER_BYTES)
@@ -213,8 +237,6 @@ impl MmapShard {
             return Err(CheckpointError::Truncated);
         }
         let n = data_len / stride;
-        self.ids.clear();
-        self.index.clear();
         self.ids.reserve(n);
         for i in 0..n {
             let off = self.data_off + i * stride;
@@ -226,6 +248,7 @@ impl MmapShard {
             self.ids.push(id);
             self.index.insert(id, i);
         }
+        self.verified.resize_with(n, || AtomicBool::new(false));
         Ok(())
     }
 
@@ -275,9 +298,12 @@ impl MmapShard {
         &self.path
     }
 
-    /// Zero-copy view of record `idx`'s full payload, after verifying
-    /// its checksum against the record header. Every failure is typed;
-    /// this never panics on disk corruption.
+    /// Zero-copy view of record `idx`'s full payload. The payload's
+    /// checksum is verified against the record header on the first read
+    /// of `idx` in this mapping; later reads of a record that passed skip
+    /// the check (the mapping's bytes cannot change), while a record that
+    /// failed is checked, and fails, on every read. Every failure is
+    /// typed; this never panics on disk corruption.
     pub fn sample(&self, idx: usize) -> Result<&[f32], CheckpointError> {
         let stride = record_stride(&self.schema);
         if idx >= self.ids.len() {
@@ -287,16 +313,25 @@ impl MmapShard {
             )));
         }
         let off = self.data_off + idx * stride;
-        let raw: &[u8] = &self.mmap;
-        let crc_raw: [u8; 4] = raw
-            .get(off + 8..off + 12)
-            .and_then(|s| s.try_into().ok())
-            .ok_or(CheckpointError::Truncated)?;
-        let payload = raw
-            .get(off + RECORD_HEADER_BYTES..off + stride)
-            .ok_or(CheckpointError::Truncated)?;
-        if crc32(payload) != u32::from_le_bytes(crc_raw) {
-            return Err(CheckpointError::BadChecksum);
+        // Relaxed is enough: the flag publishes no data. The bytes it
+        // vouches for are fixed for the mapping's whole life, and the
+        // mapping and flags are only ever replaced together under
+        // `&mut self`. A reader that sees a stale `false` just re-checks
+        // the same bytes and gets the same answer.
+        let verified = &self.verified[idx];
+        if !verified.load(Ordering::Relaxed) {
+            let raw: &[u8] = &self.mmap;
+            let crc_raw: [u8; 4] = raw
+                .get(off + 8..off + RECORD_HEADER_BYTES)
+                .and_then(|s| s.try_into().ok())
+                .ok_or(CheckpointError::Truncated)?;
+            let payload = raw
+                .get(off + RECORD_HEADER_BYTES..off + stride)
+                .ok_or(CheckpointError::Truncated)?;
+            if crc32(payload) != u32::from_le_bytes(crc_raw) {
+                return Err(CheckpointError::BadChecksum);
+            }
+            verified.store(true, Ordering::Relaxed);
         }
         self.mmap
             .as_f32s(off + RECORD_HEADER_BYTES, self.schema.record_len())
@@ -313,9 +348,51 @@ impl MmapShard {
 }
 
 #[cfg(test)]
+impl ShardWriter {
+    /// The per-element append encoding this writer replaced: a fresh
+    /// buffer per record and three writes. Byte oracle for `append`.
+    fn append_per_element(&mut self, id: u64, payload: &[f32]) -> Result<(), CheckpointError> {
+        let mut raw = Vec::with_capacity(payload.len() * 4);
+        for &v in payload {
+            raw.extend_from_slice(&v.to_le_bytes());
+        }
+        self.file.write_all(&id.to_le_bytes())?;
+        self.file.write_all(&crc32(&raw).to_le_bytes())?;
+        self.file.write_all(&raw)?;
+        self.count += 1;
+        self.bytes_written += (RECORD_HEADER_BYTES + raw.len()) as u64;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+impl MmapShard {
+    /// Read oracle for `sample`: checks record `idx`'s CRC on every call
+    /// and decodes the payload from the mapping's bytes, ignoring the
+    /// verified flags entirely.
+    fn sample_checked_every_read(&self, idx: usize) -> Result<Vec<f32>, CheckpointError> {
+        if idx >= self.ids.len() {
+            return Err(CheckpointError::ConfigMismatch(format!(
+                "record {idx} out of range"
+            )));
+        }
+        let stride = record_stride(&self.schema);
+        let off = self.data_off + idx * stride;
+        let raw: &[u8] = &self.mmap;
+        let crc = u32::from_le_bytes(raw[off + 8..off + 12].try_into().unwrap());
+        let payload = &raw[off + RECORD_HEADER_BYTES..off + stride];
+        if crc32(payload) != crc {
+            return Err(CheckpointError::BadChecksum);
+        }
+        Ok(ltfb_tensor::f32s_from_le(payload))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::TensorField;
+    use proptest::prelude::*;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -474,5 +551,194 @@ mod tests {
         assert!(shard.is_empty());
         assert_eq!(shard.schema(), &s);
         std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn corrupt_record_fails_on_every_read_and_neighbours_stay_ok() {
+        let p = temp_path("crc-twice");
+        let s = schema();
+        let mut w = ShardWriter::create(&p, s.clone()).unwrap();
+        for id in 0..3u64 {
+            w.append(id, &payload(id, s.record_len())).unwrap();
+        }
+        w.flush().unwrap();
+        let mut raw = std::fs::read(&p).unwrap();
+        let record_1_last = raw.len() - record_stride(&s) - 1;
+        raw[record_1_last] ^= 0x01;
+        std::fs::write(&p, &raw).unwrap();
+        let shard = MmapShard::open(&p).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(shard.sample(1), Err(CheckpointError::BadChecksum)));
+            for id in [0u64, 2] {
+                assert_eq!(
+                    shard.sample(id as usize).unwrap(),
+                    &payload(id, s.record_len())[..]
+                );
+            }
+        }
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn refresh_rechecks_records_verified_in_the_old_mapping() {
+        let p = temp_path("regen");
+        let s = schema();
+        let mut w = ShardWriter::create(&p, s.clone()).unwrap();
+        w.append(0, &payload(0, s.record_len())).unwrap();
+        w.flush().unwrap();
+        let mut shard = MmapShard::open_streaming(&p).unwrap();
+        assert!(shard.sample(0).is_ok());
+        let mut raw = std::fs::read(&p).unwrap();
+        let last = raw.len() - 1;
+        raw[last] ^= 0x80;
+        std::fs::write(&p, &raw).unwrap();
+        // The old mapping is a snapshot: still intact, still verified.
+        assert_eq!(shard.sample(0).unwrap(), &payload(0, s.record_len())[..]);
+        shard.refresh().unwrap();
+        assert!(matches!(shard.sample(0), Err(CheckpointError::BadChecksum)));
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    /// A shard whose data region is `data_len` zero bytes behind a schema
+    /// with a single field of shape `dims`, written without any geometry
+    /// check (the writer only encodes the schema).
+    fn crafted_shard(tag: &str, dims: Vec<u64>, data_len: usize) -> PathBuf {
+        let p = temp_path(tag);
+        let mut w =
+            ShardWriter::create(&p, BundleSchema::new(vec![TensorField::new("x", dims)])).unwrap();
+        w.flush().unwrap();
+        let mut raw = std::fs::read(&p).unwrap();
+        raw.resize(raw.len() + data_len, 0);
+        std::fs::write(&p, &raw).unwrap();
+        p
+    }
+
+    #[test]
+    fn crafted_overflowing_schema_is_typed_on_open() {
+        // Before `decode` checked the record size: the first two panicked
+        // in debug builds (product overflow), the third panicked in debug
+        // (stride add) and divided by zero in release, and the first
+        // mapped five phantom 12-byte "records" in release.
+        let cases: [(&str, Vec<u64>); 3] = [
+            ("ovf-mul", vec![1 << 62, 4]),
+            ("ovf-max", vec![u64::MAX, 2]),
+            ("ovf-add", vec![(1 << 62) - 3]),
+        ];
+        for (tag, dims) in cases {
+            let p = crafted_shard(tag, dims.clone(), 5 * RECORD_HEADER_BYTES);
+            for opened in [MmapShard::open(&p), MmapShard::open_streaming(&p)] {
+                assert!(
+                    matches!(opened, Err(CheckpointError::ConfigMismatch(_))),
+                    "dims {dims:?}"
+                );
+            }
+            std::fs::remove_file(&p).unwrap();
+        }
+    }
+
+    /// f32s weighted towards bit patterns a value comparison would miss:
+    /// NaNs with arbitrary sign and payload, -0.0 and subnormals.
+    fn edge_f32() -> impl Strategy<Value = f32> {
+        (0u8..4, any::<u32>()).prop_map(|(class, r)| match class {
+            0 => f32::from_bits(0x7F80_0001 | (r & 0x807F_FFFF)),
+            1 => f32::from_bits(r & 0x807F_FFFF),
+            2 => -0.0,
+            _ => f32::from_bits(r),
+        })
+    }
+
+    /// A schema with 1–3 fields of rank 1–2, each dim 1–4.
+    fn small_schema() -> impl Strategy<Value = BundleSchema> {
+        prop::collection::vec(prop::collection::vec(1u64..5, 1..3), 1..4).prop_map(|shapes| {
+            BundleSchema::new(
+                shapes
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, dims)| TensorField::new(format!("f{i}"), dims))
+                    .collect(),
+            )
+        })
+    }
+
+    /// Records `(ids[i], pool[i * len..][..len])`; the pool holds enough
+    /// words for the largest `small_schema` record times six.
+    fn records(ids: &[u64], pool: &[f32], len: usize) -> Vec<(u64, Vec<f32>)> {
+        ids.iter()
+            .enumerate()
+            .map(|(i, &id)| (id, pool[i * len..(i + 1) * len].to_vec()))
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn append_bytes_match_per_element_oracle(
+            s in small_schema(),
+            ids in prop::collection::vec(any::<u64>(), 0..7),
+            pool in prop::collection::vec(edge_f32(), 300..301),
+        ) {
+            let (p, q) = (temp_path("wr-new"), temp_path("wr-old"));
+            let mut new = ShardWriter::create(&p, s.clone()).unwrap();
+            let mut old = ShardWriter::create(&q, s.clone()).unwrap();
+            for (id, rec) in records(&ids, &pool, s.record_len()) {
+                new.append(id, &rec).unwrap();
+                old.append_per_element(id, &rec).unwrap();
+            }
+            new.flush().unwrap();
+            old.flush().unwrap();
+            prop_assert_eq!(new.bytes_written(), old.bytes_written());
+            prop_assert_eq!(new.count(), old.count());
+            let (a, b) = (std::fs::read(&p).unwrap(), std::fs::read(&q).unwrap());
+            std::fs::remove_file(&p).unwrap();
+            std::fs::remove_file(&q).unwrap();
+            prop_assert!(a == b, "shard bytes differ from the per-element oracle");
+        }
+
+        #[test]
+        fn sample_matches_per_read_crc_oracle(
+            s in small_schema(),
+            n in 1usize..7,
+            pool in prop::collection::vec(edge_f32(), 300..301),
+            flip in any::<prop::sample::Index>(),
+            reads in prop::collection::vec(any::<prop::sample::Index>(), 1..24),
+        ) {
+            let p = temp_path("oracle");
+            let mut w = ShardWriter::create(&p, s.clone()).unwrap();
+            let ids: Vec<u64> = (0..n as u64).collect();
+            for (id, rec) in records(&ids, &pool, s.record_len()) {
+                w.append(id, &rec).unwrap();
+            }
+            w.flush().unwrap();
+            let mut shard = MmapShard::open_streaming(&p).unwrap();
+            // Reads on the clean mapping, then one bit flipped anywhere in
+            // the data region, a re-map, and the same reads again: each
+            // result must be what a check on every read would give.
+            for phase in 0..2 {
+                if phase == 1 {
+                    let mut raw = std::fs::read(&p).unwrap();
+                    let bit = flip.index((raw.len() - shard.data_off) * 8);
+                    raw[shard.data_off + bit / 8] ^= 1 << (bit % 8);
+                    std::fs::write(&p, &raw).unwrap();
+                    shard.refresh().unwrap();
+                }
+                for r in &reads {
+                    let idx = r.index(n);
+                    match (shard.sample(idx), shard.sample_checked_every_read(idx)) {
+                        (Ok(view), Ok(want)) => prop_assert_eq!(bits(view), bits(&want)),
+                        (Err(CheckpointError::BadChecksum), Err(CheckpointError::BadChecksum)) => {}
+                        (got, want) => prop_assert!(
+                            false,
+                            "record {}: sample {:?}, oracle {:?}", idx, got.map(bits), want.map(|v| bits(&v))
+                        ),
+                    }
+                }
+            }
+            std::fs::remove_file(&p).unwrap();
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! ignition cliff.
 
 use crate::config::{LtfbConfig, PartitionScheme};
-use crate::tournament::pairing;
+use crate::tournament::{adopt, best_score, pairing};
 use bytes::Bytes;
 use ltfb_jag::{sample_by_id, JagConfig};
 use ltfb_nn::{mlp, Adam, LossHistory, Optimizer, OutputActivation, Sequential};
@@ -206,7 +206,7 @@ impl ClassifierTrainer {
             .weights_from_bytes(foreign.clone())
             .expect("foreign model corrupt");
         let foreign_score = self.tournament_score();
-        if foreign_score < own_score {
+        if adopt(own_score, foreign_score) {
             self.opt.reset_state();
             self.adoptions += 1;
             true
@@ -230,14 +230,10 @@ pub struct ClassifierOutcome {
 }
 
 impl ClassifierOutcome {
-    /// Best (lowest) final cross-entropy and its trainer.
+    /// Best (lowest) final cross-entropy and its trainer; finite losses
+    /// win over non-finite ones.
     pub fn best(&self) -> (usize, f32) {
-        self.final_ce
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("empty population")
+        best_score(&self.final_ce)
     }
 }
 

@@ -49,7 +49,7 @@ pub use overlap::{dp_train_step_overlapped, DpOverlap};
 pub use surrogate::{
     adaptive_sample, optimize_design, DesignOptimum, EnsemblePrediction, PopulationEnsemble,
 };
-pub use tournament::{decide_match, pairing, pairing_alive, MatchOutcome};
+pub use tournament::{adopt, decide_match, pairing, pairing_alive, MatchOutcome};
 pub use trainer::Trainer;
 pub use two_level::{
     broadcast_replica, dp_train_step, dp_train_step_ws, run_ltfb_two_level, run_ltfb_two_level_obs,

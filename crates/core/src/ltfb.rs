@@ -15,7 +15,7 @@
 
 use crate::config::LtfbConfig;
 use crate::data::ae_dataset;
-use crate::tournament::{decide_match, pairing, MatchOutcome};
+use crate::tournament::{best_score, decide_match, pairing, MatchOutcome};
 use crate::trainer::Trainer;
 use bytes::Bytes;
 use ltfb_comm::{run_world, run_world_obs, FaultPlan};
@@ -58,14 +58,10 @@ pub struct RunOutcome {
 }
 
 impl RunOutcome {
-    /// Best (lowest) final validation loss and its trainer.
+    /// Best (lowest) final validation loss and its trainer; finite
+    /// losses win over non-finite ones.
     pub fn best(&self) -> (usize, f32) {
-        self.final_val
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("empty population")
+        best_score(&self.final_val)
     }
 }
 

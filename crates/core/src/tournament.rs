@@ -45,6 +45,33 @@ pub fn pairing_alive(alive: &[bool], round: u64, seed: u64) -> Vec<Option<usize>
     partners
 }
 
+/// The adoption rule every tournament site applies: adopt the foreign
+/// model iff its score is finite and the local one is not, or it is
+/// strictly lower. Ties keep the local model (no pointless churn, and
+/// LBANN's strict-improvement rule). For finite scores this is exactly
+/// `foreign < own`; the finiteness terms only rescue a diverged trainer
+/// and refuse a diverged partner.
+pub fn adopt(own: f32, foreign: f32) -> bool {
+    foreign.is_finite() && (!own.is_finite() || foreign < own)
+}
+
+/// The population's best (lowest) score and its trainer. Finite scores
+/// win over non-finite ones, so a diverged trainer is never reported as
+/// best; with no finite score the `total_cmp` minimum is returned.
+pub(crate) fn best_score(scores: &[f32]) -> (usize, f32) {
+    let lowest = |finite_only: bool| {
+        scores
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, s)| !finite_only || s.is_finite())
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+    };
+    lowest(true)
+        .or_else(|| lowest(false))
+        .expect("empty population")
+}
+
 /// Outcome of one trainer's tournament match.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatchOutcome {
@@ -59,8 +86,7 @@ pub struct MatchOutcome {
 }
 
 /// Decide a match on one side: score own and foreign generators on the
-/// local tournament set and keep the better (ties keep the local one —
-/// avoids pointless churn and matches LBANN's strict-improvement rule).
+/// local tournament set and keep the better by [`adopt`].
 pub fn decide_match(trainer: &mut Trainer, partner: usize, foreign: Bytes) -> MatchOutcome {
     let own_bytes = trainer.gan.generator_to_bytes();
     let own_score = trainer.tournament_score();
@@ -69,7 +95,7 @@ pub fn decide_match(trainer: &mut Trainer, partner: usize, foreign: Bytes) -> Ma
         .swap_generator_weights(foreign.clone())
         .expect("foreign generator payload corrupt");
     let foreign_score = trainer.tournament_score();
-    let adopted_foreign = foreign_score < own_score;
+    let adopted_foreign = adopt(own_score, foreign_score);
     if adopted_foreign {
         // Adopt for real: optimizer state resets (stale moments would
         // drag the foreign weights back toward the old basin).
@@ -97,6 +123,10 @@ pub fn decide_match(trainer: &mut Trainer, partner: usize, foreign: Bytes) -> Ma
 mod tests {
     use super::*;
     use crate::config::LtfbConfig;
+    use crate::ltfb::RunOutcome;
+    use crate::two_level::TwoLevelOutcome;
+    use crate::ClassifierOutcome;
+    use proptest::prelude::*;
 
     #[test]
     fn pairing_is_an_involution() {
@@ -297,5 +327,103 @@ mod tests {
             d_before,
             "discriminators never cross trainers"
         );
+    }
+
+    #[test]
+    fn diverged_trainer_adopts_a_finite_partner() {
+        let cfg = LtfbConfig::small(2);
+        let ae = crate::ltfb::pretrain_global_autoencoder(&cfg);
+        let mut a = Trainer::new(cfg, 0);
+        let mut b = Trainer::new(cfg, 1);
+        a.load_autoencoder(ae.clone());
+        b.load_autoencoder(ae);
+        for _ in 0..20 {
+            a.train_step();
+            b.train_step();
+        }
+        b.gan.networks_mut()[2].visit_params_mut(&mut |p| p.value.fill(f32::NAN));
+        let fp_a = a.gan.generator_fingerprint();
+
+        let out_b = decide_match(&mut b, 0, a.gan.generator_to_bytes());
+        assert!(out_b.own_score.is_nan(), "{out_b:?}");
+        assert!(out_b.foreign_score.is_finite(), "{out_b:?}");
+        assert!(out_b.adopted_foreign, "{out_b:?}");
+        assert_eq!(b.gan.generator_fingerprint(), fp_a);
+        assert!(b.tournament_score().is_finite());
+
+        // The finite side never takes a diverged generator.
+        let mut poisoned = Trainer::new(cfg, 1);
+        poisoned.gan.networks_mut()[2].visit_params_mut(&mut |p| p.value.fill(f32::NAN));
+        let out_a = decide_match(&mut a, 1, poisoned.gan.generator_to_bytes());
+        assert!(!out_a.adopted_foreign, "{out_a:?}");
+        assert_eq!(a.gan.generator_fingerprint(), fp_a);
+    }
+
+    #[test]
+    fn adopt_handles_non_finite_scores() {
+        for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert!(adopt(bad, 1.0), "own {bad} must adopt a finite partner");
+            assert!(!adopt(1.0, bad), "foreign {bad} must never be adopted");
+            assert!(!adopt(bad, bad), "two diverged models: keep the local one");
+        }
+        assert!(!adopt(0.5, 0.5), "ties keep the local model");
+    }
+
+    #[test]
+    fn best_prefers_finite_trainers() {
+        let final_val = vec![0.7, -f32::NAN, 0.4, f32::NEG_INFINITY];
+        let run = RunOutcome {
+            histories: Vec::new(),
+            final_val: final_val.clone(),
+            wins: Vec::new(),
+            adoptions: 0,
+            matches: Vec::new(),
+        };
+        assert_eq!(run.best(), (2, 0.4));
+        let two = TwoLevelOutcome {
+            histories: Vec::new(),
+            final_val: final_val.clone(),
+            adoptions: 0,
+            replicas_consistent: true,
+        };
+        assert_eq!(two.best(), (2, 0.4));
+        let cls = ClassifierOutcome {
+            histories: Vec::new(),
+            final_ce: final_val,
+            final_accuracy: Vec::new(),
+            adoptions: 0,
+        };
+        assert_eq!(cls.best(), (2, 0.4));
+
+        // With no finite trainer the answer is the old `total_cmp` minimum.
+        let (i, v) = best_score(&[f32::NAN, -f32::NAN, f32::INFINITY]);
+        assert_eq!((i, v.to_bits()), (1, (-f32::NAN).to_bits()));
+    }
+
+    fn finite_f32() -> impl Strategy<Value = f32> {
+        any::<f32>().prop_map(|x| if x.is_finite() { x } else { 0.0 })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn adopt_is_strict_less_on_finite_scores(own in finite_f32(), foreign in finite_f32()) {
+            prop_assert_eq!(adopt(own, foreign), foreign < own);
+        }
+
+        #[test]
+        fn best_is_total_cmp_minimum_on_finite_scores(
+            scores in prop::collection::vec(finite_f32(), 1..9),
+        ) {
+            let old = scores
+                .iter()
+                .copied()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .unwrap();
+            let new = best_score(&scores);
+            prop_assert_eq!((new.0, new.1.to_bits()), (old.0, old.1.to_bits()));
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::config::LtfbConfig;
 use crate::data::{build_trainer_data, xy};
 use crate::ltfb::{pretrain_global_autoencoder, LtfbObs};
 use crate::overlap::{dp_train_step_overlapped, DpOverlap};
-use crate::tournament::pairing;
+use crate::tournament::{adopt, best_score, pairing};
 use ltfb_comm::{run_world, run_world_obs, Comm};
 use ltfb_gan::{CycleGan, StepLosses};
 use ltfb_nn::{allreduce_gradients, BatchReader, FusedGradients, LossHistory, Workspace};
@@ -76,14 +76,10 @@ pub struct TwoLevelOutcome {
 }
 
 impl TwoLevelOutcome {
-    /// Best (lowest) final validation loss and its trainer.
+    /// Best (lowest) final validation loss and its trainer; finite
+    /// losses win over non-finite ones.
     pub fn best(&self) -> (usize, f32) {
-        self.final_val
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("empty population")
+        best_score(&self.final_val)
     }
 }
 
@@ -212,7 +208,7 @@ fn two_level_inner(
                         gan.swap_generator_weights(foreign.clone())
                             .expect("foreign generator corrupt");
                         let foreign_score = gan.evaluate(tx, ty).combined();
-                        if foreign_score < own_score {
+                        if adopt(own_score, foreign_score) {
                             gan.load_generator(foreign).expect("validated");
                             adoptions += 1;
                             1

@@ -6,7 +6,7 @@
 //! differing loss word. The shuffle and matrix wire bytes, and the typed
 //! error a corrupt shard record raises, are pinned here too.
 
-use ltfb::bundle::CheckpointError;
+use ltfb::bundle::{CheckpointError, MmapShard};
 use ltfb::comm::run_world;
 use ltfb::datastore::{node_to_sample, sample_to_node, DataStore, PopulateMode, StoreError};
 use ltfb::gan::{batch_from_samples, CycleGan, CycleGanConfig, StepLosses};
@@ -180,5 +180,33 @@ fn flipped_payload_bit_fails_every_epoch() {
             );
         }
     });
+    cleanup_dataset_dir(&spec.dir);
+}
+
+/// A shard reader checks each record's CRC once per mapping. A record
+/// verified in one mapping is checked again after `refresh()`, so a bit
+/// flipped on disk in between is caught on the next read.
+#[test]
+fn refresh_rechecks_a_record_verified_before_the_flip() {
+    let (_, spec) = make_dataset("golden-regen");
+    let path = spec.shard_path(0);
+    let mut shard = MmapShard::open(&path).unwrap();
+    let k = 5;
+    assert!(shard.sample(k).is_ok());
+    assert!(shard.sample(k).is_ok(), "a verified record reads again");
+
+    // Records are the file's fixed-stride tail: `id u64 | crc u32 | payload`.
+    let mut raw = std::fs::read(&path).unwrap();
+    let stride = 12 + 4 * shard.schema().record_len();
+    let record_k = raw.len() - (shard.len() - k) * stride;
+    raw[record_k + 12 + stride / 2] ^= 0x04;
+    std::fs::write(&path, raw).unwrap();
+
+    shard.refresh().unwrap();
+    assert!(matches!(
+        shard.sample(k),
+        Err(CheckpointError::BadChecksum)
+    ));
+    assert!(shard.sample(k + 1).is_ok(), "neighbour untouched");
     cleanup_dataset_dir(&spec.dir);
 }
