@@ -206,12 +206,8 @@ mod tests {
 
     /// Shapes whose record size overflows: the product of the dims, or
     /// the payload bytes plus the 12-byte record header.
-    const OVERFLOWING_DIMS: [&[u64]; 4] = [
-        &[1 << 62, 4],
-        &[u64::MAX, 2],
-        &[(1 << 62) - 3],
-        &[u64::MAX],
-    ];
+    const OVERFLOWING_DIMS: [&[u64]; 4] =
+        [&[1 << 62, 4], &[u64::MAX, 2], &[(1 << 62) - 3], &[u64::MAX]];
 
     #[test]
     fn overflowing_record_size_rejected() {

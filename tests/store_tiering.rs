@@ -203,10 +203,7 @@ fn refresh_rechecks_a_record_verified_before_the_flip() {
     std::fs::write(&path, raw).unwrap();
 
     shard.refresh().unwrap();
-    assert!(matches!(
-        shard.sample(k),
-        Err(CheckpointError::BadChecksum)
-    ));
+    assert!(matches!(shard.sample(k), Err(CheckpointError::BadChecksum)));
     assert!(shard.sample(k + 1).is_ok(), "neighbour untouched");
     cleanup_dataset_dir(&spec.dir);
 }
