@@ -1,9 +1,10 @@
-//! Counting global allocator for the bench harness (audited unsafe).
+//! Counting global allocator (audited unsafe).
 //!
 //! Wraps [`std::alloc::System`] and counts every allocation and
-//! reallocation, so the `train_throughput` bench and the zero-alloc
-//! integration test can assert the workspace training path's defining
-//! property: **allocs/step == 0 after warm-up**. Install it per binary:
+//! reallocation, so the root `tests/zero_alloc.rs` test and the
+//! benchmark's `gan.allocs_per_step` metric can check the workspace
+//! training path's defining property: **allocs/step == 0 after
+//! warm-up**. Install it per binary:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -16,7 +17,7 @@
 //! ```
 //!
 //! Counters are process-global atomics; attribute deltas to a region
-//! only when no other thread allocates concurrently (the bench runs the
+//! only when no other thread allocates concurrently (the test runs the
 //! training step single-threaded — matrices stay under the rayon shim's
 //! inline threshold — so deltas are exact).
 //!

@@ -2,7 +2,8 @@
 //!
 //! The evaluation harness: one binary per figure of the paper (the paper
 //! has no numbered tables; every quantitative result is a figure), plus
-//! Criterion microbenchmarks for the core kernels.
+//! the ablation binaries. Wall-clock performance of the implementation
+//! is measured by the separate `benchmark/` package, not here.
 //!
 //! Each `fig*` binary prints the same rows/series the paper reports and
 //! writes a CSV next to the repository under `results/`.

@@ -579,7 +579,10 @@ fn process_kind(
     let mut miss_keys: Vec<Option<CacheKey>> = Vec::with_capacity(reqs.len());
     for r in reqs {
         if let Some(c) = cache {
-            let key = CacheKey::quantized(kind_tag, &r.input, cache_quantum);
+            // Versioned, so a hit is always the answer of the model whose
+            // version it is stamped with, even across a hot-swap.
+            let key = CacheKey::quantized(kind_tag, &r.input, cache_quantum)
+                .with_version(model.version());
             if let Some(hit) = c.lock().get(&key) {
                 let finished = Instant::now();
                 let latency = finished.duration_since(r.enqueued).as_secs_f64() * 1e6;

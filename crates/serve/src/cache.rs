@@ -8,12 +8,29 @@
 //! [`CacheKey::exact`]) when approximate sharing is unacceptable.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
-/// Cache key: request kind tag + quantized input coordinates.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+/// Cache key: request kind tag + quantized input coordinates, and
+/// optionally the version of the model whose response it names (see
+/// [`CacheKey::with_version`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CacheKey {
     kind: u8,
     cells: Vec<i64>,
+    version: Option<u64>,
+}
+
+// An unversioned key hashes over kind and cells only, so the fleet
+// router, which hashes unversioned keys to pick a shard, places every key
+// where it would without the version field.
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.kind.hash(state);
+        self.cells.hash(state);
+        if let Some(v) = self.version {
+            v.hash(state);
+        }
+    }
 }
 
 impl CacheKey {
@@ -27,6 +44,7 @@ impl CacheKey {
                 .iter()
                 .map(|&v| (v as f64 * inv as f64).round() as i64)
                 .collect(),
+            version: None,
         }
     }
 
@@ -35,7 +53,15 @@ impl CacheKey {
         CacheKey {
             kind,
             cells: input.iter().map(|&v| v.to_bits() as i64).collect(),
+            version: None,
         }
+    }
+
+    /// The same key scoped to one model version: after a hot-swap, the
+    /// new version's lookups miss every entry the old version filled.
+    pub fn with_version(mut self, version: u64) -> Self {
+        self.version = Some(version);
+        self
     }
 }
 
@@ -179,6 +205,15 @@ mod tests {
         c.put(k(1.0), vec![42.0]);
         assert_eq!(c.get(&k(1.0)), Some(vec![42.0]));
         assert_eq!((c.hits(), c.misses()), (1, 0));
+    }
+
+    #[test]
+    fn versions_never_share_entries() {
+        let mut c = LruCache::new(4);
+        c.put(k(1.0).with_version(1), vec![1.0]);
+        assert_eq!(c.get(&k(1.0).with_version(2)), None);
+        assert_eq!(c.get(&k(1.0)), None);
+        assert_eq!(c.get(&k(1.0).with_version(1)), Some(vec![1.0]));
     }
 
     #[test]

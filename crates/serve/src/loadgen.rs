@@ -692,6 +692,14 @@ mod tests {
             report.submitted
         );
         assert_eq!(report.errors, 0);
+        // Each send waits for its intended slot, so charging latency from
+        // the slot can only add to the send-clock view.
+        assert!(
+            report.lat_p99_us >= report.send_lat_p99_us,
+            "corrected p99 {:.0}us below send-clock p99 {:.0}us",
+            report.lat_p99_us,
+            report.send_lat_p99_us
+        );
         let stats = server.shutdown();
         // 8 hot keys under Zipf skew: repeats must hit the LRU cache.
         assert!(stats.cache_hits > 0, "no cache hits: {stats:?}");

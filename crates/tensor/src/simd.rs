@@ -123,8 +123,8 @@ fn row_block<const M: usize, F: Fn(usize, usize) -> f32>(
 std::thread_local! {
     /// Per-thread scratch for the `gemm_nt` transposed-`B` tile. Grows to
     /// the largest `k * n` seen on this thread and is then reused, so the
-    /// steady-state training loop stays allocation-free (the
-    /// `train_throughput` gate counts allocs per step after warmup).
+    /// steady-state training loop stays allocation-free (the root
+    /// `zero_alloc` test counts allocs per step after warmup).
     static NT_SCRATCH: core::cell::RefCell<Vec<f32>> = const { core::cell::RefCell::new(Vec::new()) };
 }
 

@@ -36,13 +36,10 @@ scripts/fault_smoke.sh
 echo "==> metrics smoke"
 scripts/metrics_smoke.sh
 
-echo "==> perf smoke (zero-alloc hot path + kernel/throughput regression gates + int8 accuracy)"
-scripts/perf_smoke.sh
-
-echo "==> store smoke (tiered bit-identity + tier/ingest metrics + bench)"
+echo "==> store smoke (tiered bit-identity + demo hit rate + tier/ingest metric keys)"
 scripts/store_smoke.sh
 
-echo "==> serve smoke (fleet overload goodput + shed + CO gates vs BENCH_serve.json)"
+echo "==> serve smoke (fresh fleet run + causal-trace certification)"
 scripts/serve_smoke.sh
 
 echo "CI green."

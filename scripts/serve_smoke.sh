@@ -1,23 +1,14 @@
 #!/usr/bin/env bash
-# Serving-fleet smoke: a fixed-seed fleet bench run gated against the
-# committed BENCH_serve.json:
+# Serving-fleet smoke: one fixed-seed fleet bench run (closed-loop
+# capacity probe, then the open-loop 0.5x/1x/2x overload sweep) must
+# complete, and its --metrics causal trace must certify under
+# `ltfb-analyze trace`: every shed happens inside an overload episode
+# that causally follows the SLO announcement
+# (fleet-shed-implies-overload), and replica publishes stay serial per
+# shard.
 #
-# 1. Admission control must actually engage: under 2x overload the run
-#    must shed at least one request (shed_at_2x > 0), and goodput must
-#    stay >= 70% of the measured closed-loop capacity — the acceptance
-#    bar for SLO shedding (turning away work instead of collapsing).
-# 2. Coordinated-omission sanity: the schedule-corrected p99 can never
-#    be below the send-clock p99 (the correction only adds the queueing
-#    the closed send-clock view hides). Machine-independent.
-# 3. Ratio floor vs the committed baseline: fresh goodput_frac_at_2x
-#    must stay >= 35% of the committed figure. The fraction is a ratio
-#    of two numbers from one host, so it is CPU-frequency independent;
-#    absolute rps are recorded but not gated.
-# 4. The --metrics causal trace of the overload run must certify under
-#    `ltfb-analyze trace` — every shed happens inside an overload
-#    episode that causally follows the SLO announcement
-#    (fleet-shed-implies-overload), and replica publishes stay serial
-#    per shard.
+# No timing is gated here; serving performance is measured by the
+# benchmark (benchmark/, workloads serve_steady and serve_saturation).
 #
 # Assumes `cargo build --release` has already run (ci.sh does).
 set -euo pipefail
@@ -29,59 +20,14 @@ ANALYZE=target/release/ltfb-analyze
     echo "serve_smoke: release binaries missing; run cargo build --release first" >&2
     exit 1
 }
-[[ -f BENCH_serve.json ]] || {
-    echo "serve_smoke: committed BENCH_serve.json missing" >&2
-    exit 1
-}
 
 FRESH=$(mktemp -d)
 trap 'rm -rf "$FRESH"' EXIT
 
 echo "==> serve-bench --shards 2 (fresh fixed-seed fleet run)"
-LTFB_SERVE_JSON="$FRESH/BENCH_serve.json" LTFB_RESULTS_DIR="$FRESH" \
+LTFB_RESULTS_DIR="$FRESH" \
     "$CLI" serve-bench --shards 2 --seed 2019 \
     --metrics "$FRESH/serve_fleet_metrics.json"
-
-# Top-level scalar: "key": <number> anywhere in the file (first match).
-json_num() { # json_num <file> <key>
-    sed -n "s/.*\"$2\": \(-\{0,1\}[0-9.][0-9.]*\).*/\1/p" "$1" | head -1
-}
-
-fresh_frac=$(json_num "$FRESH/BENCH_serve.json" goodput_frac_at_2x)
-fresh_shed=$(json_num "$FRESH/BENCH_serve.json" shed_at_2x)
-fresh_corr=$(json_num "$FRESH/BENCH_serve.json" co_corrected_p99_us)
-fresh_send=$(json_num "$FRESH/BENCH_serve.json" co_send_clock_p99_us)
-committed_frac=$(json_num BENCH_serve.json goodput_frac_at_2x)
-
-[[ -n "$fresh_frac" && -n "$fresh_shed" && -n "$fresh_corr" && -n "$fresh_send" && -n "$committed_frac" ]] || {
-    echo "serve_smoke: failed to parse fleet bench JSON" >&2
-    cat "$FRESH/BENCH_serve.json" >&2
-    exit 1
-}
-
-echo "==> gate: shed_at_2x $fresh_shed > 0 (admission control engaged)"
-awk -v s="$fresh_shed" 'BEGIN { exit (s > 0 ? 0 : 1) }' || {
-    echo "serve_smoke: FAIL — no sheds under 2x overload; admission control never engaged" >&2
-    exit 1
-}
-
-echo "==> gate: goodput_frac_at_2x $fresh_frac >= 0.7 (goodput preserved under overload)"
-awk -v f="$fresh_frac" 'BEGIN { exit (f >= 0.7 ? 0 : 1) }' || {
-    echo "serve_smoke: FAIL — goodput collapsed under 2x overload ($fresh_frac of capacity)" >&2
-    exit 1
-}
-
-echo "==> gate: goodput_frac_at_2x $fresh_frac within 35% floor of committed $committed_frac"
-awk -v f="$fresh_frac" -v c="$committed_frac" 'BEGIN { exit (f >= 0.35 * c ? 0 : 1) }' || {
-    echo "serve_smoke: FAIL — overload goodput regressed: fresh $fresh_frac vs committed $committed_frac (floor: 0.35x)" >&2
-    exit 1
-}
-
-echo "==> gate: corrected p99 $fresh_corr >= send-clock p99 $fresh_send (CO correction direction)"
-awk -v a="$fresh_corr" -v b="$fresh_send" 'BEGIN { exit (a >= b ? 0 : 1) }' || {
-    echo "serve_smoke: FAIL — schedule-corrected p99 below send-clock p99; the CO correction is broken" >&2
-    exit 1
-}
 
 echo "==> ltfb-analyze trace (fleet overload run must certify)"
 out=$("$ANALYZE" trace "$FRESH/serve_fleet_metrics.json")

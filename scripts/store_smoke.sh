@@ -9,21 +9,19 @@
 # 2. The --metrics export must carry the tier and ingest keys
 #    (store.rN.tier_hit/miss/evicted, store.rN.bytes_mapped,
 #    ingest.samples/bytes, ingest.epoch_growth).
-# 3. The store tiering bench must produce BENCH_store.json with a warm
-#    hit rate >= 0.50.
+#
+# Store throughput is measured by the benchmark (benchmark/, workload
+# store_ooc), not here.
 #
 # Assumes `cargo build --release` has already run (ci.sh does).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CLI=target/release/ltfb-cli
-BENCH=target/release/replay_store_bench
-for bin in "$CLI" "$BENCH"; do
-    [[ -x "$bin" ]] || {
-        echo "store_smoke: $bin missing; run cargo build --release first" >&2
-        exit 1
-    }
-done
+[[ -x "$CLI" ]] || {
+    echo "store_smoke: $CLI missing; run cargo build --release first" >&2
+    exit 1
+}
 
 RESULTS="$(mktemp -d)"
 trap 'rm -rf "$RESULTS"' EXIT
@@ -64,17 +62,4 @@ for key in store.r0.tier_hit store.r0.tier_miss store.r0.tier_evicted \
     }
 done
 
-echo "==> store tiering bench (BENCH_store.json)"
-BENCH_JSON="$RESULTS/BENCH_store.json"
-LTFB_BENCH_JSON="$BENCH_JSON" "$BENCH" >/dev/null
-[[ -f "$BENCH_JSON" ]] || {
-    echo "store_smoke: $BENCH_JSON not written" >&2
-    exit 1
-}
-WARM="$(sed -n 's/.*"tiered_warm_hit_rate": \([0-9.]*\).*/\1/p' "$BENCH_JSON")"
-awk -v r="$WARM" 'BEGIN { exit !(r >= 0.50) }' || {
-    echo "store_smoke: bench warm hit rate $WARM below the 0.50 floor" >&2
-    exit 1
-}
-
-echo "store_smoke: OK (bit_identical=true, demo hit rate $HIT_RATE, bench warm hit rate $WARM)"
+echo "store_smoke: OK (bit_identical=true, demo hit rate $HIT_RATE)"

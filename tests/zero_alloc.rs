@@ -6,11 +6,11 @@
 //! process-global, so a concurrently running test in the same binary
 //! would pollute the measured region.
 
+use ltfb::gan::{batch_from_samples, CycleGan, CycleGanConfig};
+use ltfb::jag::{r2_point, JagSimulator, Sample};
+use ltfb::nn::Workspace;
+use ltfb::tensor::Matrix;
 use ltfb_alloccount::{counts, CountingAlloc};
-use ltfb_gan::{batch_from_samples, CycleGan, CycleGanConfig};
-use ltfb_jag::{r2_point, JagSimulator, Sample};
-use ltfb_nn::Workspace;
-use ltfb_tensor::Matrix;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
